@@ -38,6 +38,7 @@ import subprocess
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -78,11 +79,20 @@ def machine_fingerprint(spec: MachineSpec) -> dict[str, Any]:
 
 
 def git_sha(repo_dir: str | Path | None = None) -> str | None:
-    """Current git HEAD SHA, or ``None`` outside a repository."""
+    """Git HEAD SHA of ``repo_dir`` (default: cwd), or ``None`` outside a
+    repository.
+
+    Resolved once per process per directory (``None`` included), so the
+    SHA describes the code this process loaded even if HEAD moves later.
+    """
+    return _git_sha_at(Path(repo_dir or ".").resolve())
+
+
+@lru_cache(maxsize=None)
+def _git_sha_at(repo_dir: Path) -> str | None:
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=str(repo_dir) if repo_dir else None,
+            ["git", "rev-parse", "HEAD"], cwd=repo_dir,
             capture_output=True, text=True, timeout=10, check=False)
     except (OSError, subprocess.SubprocessError):
         return None

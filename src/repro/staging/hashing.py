@@ -9,7 +9,9 @@ order.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+from functools import lru_cache
 
 
 def _stable_hash(key: str) -> int:
@@ -18,10 +20,25 @@ def _stable_hash(key: str) -> int:
                           "big")
 
 
+@lru_cache(maxsize=None)
+def _ring_points(n_servers: int, virtual_nodes: int
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted ring point hashes and the server owning each point.
+
+    A pure function of its arguments, so it is built once per process and
+    shared read-only (as tuples) by every ring with the same shape.
+    """
+    points = sorted((_stable_hash(f"server-{server}#vn{v}"), server)
+                    for server in range(n_servers)
+                    for v in range(virtual_nodes))
+    return tuple(p[0] for p in points), tuple(p[1] for p in points)
+
+
 class ServiceRing:
     """Consistent-hash ring over ``n_servers`` service cores.
 
     Virtual nodes smooth the distribution; ``server_for`` is O(log V).
+    Ring points are memoized per ``(n_servers, virtual_nodes)``.
     """
 
     def __init__(self, n_servers: int, virtual_nodes: int = 64) -> None:
@@ -31,27 +48,13 @@ class ServiceRing:
             raise ValueError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.n_servers = n_servers
         self.virtual_nodes = virtual_nodes
-        points: list[tuple[int, int]] = []
-        for server in range(n_servers):
-            for v in range(virtual_nodes):
-                points.append((_stable_hash(f"server-{server}#vn{v}"), server))
-        points.sort()
-        self._ring_keys = [p[0] for p in points]
-        self._ring_servers = [p[1] for p in points]
+        self._ring_keys, self._ring_servers = _ring_points(n_servers, virtual_nodes)
 
     def server_for(self, key: str) -> int:
         """Service core responsible for ``key``."""
-        h = _stable_hash(key)
-        # Binary search for the first ring point >= h (wrap to 0).
-        lo, hi = 0, len(self._ring_keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring_keys[mid] < h:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo % len(self._ring_keys)
-        return self._ring_servers[idx]
+        # First ring point >= the key's hash, wrapping to 0.
+        idx = bisect.bisect_left(self._ring_keys, _stable_hash(key))
+        return self._ring_servers[idx % len(self._ring_keys)]
 
     def load_histogram(self, keys: list[str]) -> list[int]:
         """Number of keys landing on each server (for balance tests)."""

@@ -1,6 +1,7 @@
 """Tests for repro.obs.perf: run store, regression gate, dashboard, CLI."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.obs.perf import (
     RunStore,
     collect_run_record,
     compare_record,
+    git_sha,
     machine_fingerprint,
 )
 from repro.obs.report import render_dashboard, write_dashboard
@@ -190,6 +192,59 @@ class TestCollectRunRecord:
         assert not report.ok
         regressed = {v.metric for v in report.by_status("regressed")}
         assert "trace.insitu_s" in regressed
+
+
+class TestGitSha:
+    """``git_sha`` runs ``git`` once per process per directory."""
+
+    @pytest.fixture
+    def git_calls(self, monkeypatch):
+        """Count ``git`` subprocesses by directory; ``repo*`` dirs are
+        repositories with HEAD ``"c0ffee"``, anything else is not."""
+        calls = []
+
+        def fake_run(args, cwd=None, **kwargs):
+            calls.append(cwd)
+            if cwd.name.startswith("repo"):
+                return subprocess.CompletedProcess(args, 0, "c0ffee\n", "")
+            return subprocess.CompletedProcess(args, 128, "", "not a repo")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        return calls
+
+    def test_repeated_records_run_git_once(self, tmp_path, git_calls):
+        repo = (tmp_path / "repo").resolve()
+        repo.mkdir()
+        records = [_record({"m": 1.0}, repo_dir=repo) for _ in range(5)]
+        assert [r.git_sha for r in records] == ["c0ffee"] * 5
+        assert git_calls == [repo]
+
+    def test_cwd_default_resolves_to_the_same_entry(self, tmp_path,
+                                                    git_calls, monkeypatch):
+        repo = (tmp_path / "repo").resolve()
+        repo.mkdir()
+        monkeypatch.chdir(repo)
+        assert git_sha() == git_sha(".") == git_sha(str(repo)) == "c0ffee"
+        assert git_calls == [repo]
+
+    def test_distinct_directories_run_git_once_each(self, tmp_path,
+                                                    git_calls):
+        a, b = (tmp_path / "repo-a").resolve(), (tmp_path / "repo-b").resolve()
+        a.mkdir()
+        b.mkdir()
+        for _ in range(3):
+            git_sha(a)
+            git_sha(b)
+        assert sorted(git_calls) == [a, b]
+
+    def test_none_is_cached(self, tmp_path, git_calls):
+        assert git_sha(tmp_path) is None
+        assert _record({"m": 1.0}, repo_dir=tmp_path).git_sha is None
+        assert git_calls == [tmp_path.resolve()]
+
+    def test_real_git_outside_a_repository(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert git_sha(tmp_path) is None
 
 
 class TestDashboard:

@@ -10,6 +10,81 @@ from repro.staging import DataSpaces, ServiceRing, StagingBucket, TaskDescriptor
 from repro.transport import DartTransport
 
 
+# ``server_for`` over ``_GOLDEN_KEYS``, recorded before ring points were
+# memoized: any change to point generation or routing shows here.
+_GOLDEN_KEYS = ([f"task-{i}" for i in range(100)]
+                + [f"region-{i}" for i in range(50)]
+                + [f"tenant-{i}/job-{i * 7}" for i in range(50)]
+                # Hash past every ring point of some shapes: wraps to point 0.
+                + ["wrap-15324", "wrap-30"])
+_GOLDEN_ROUTES = {
+    (2, 64): [
+        0, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0,
+        1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0,
+        1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1, 1,
+        1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1,
+        0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1,
+        1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1,
+        0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0,
+        1, 0, 1, 1, 0, 1, 0, 1, 0, 0
+    ],
+    (4, 64): [
+        2, 2, 2, 2, 2, 3, 1, 0, 3, 2, 3, 3, 0, 0, 2, 0, 1, 0, 2, 1, 0, 3, 1, 0,
+        3, 1, 2, 3, 2, 3, 2, 1, 1, 1, 3, 2, 2, 1, 2, 2, 1, 3, 0, 3, 1, 2, 3, 3,
+        1, 3, 1, 1, 0, 1, 1, 3, 2, 0, 0, 1, 1, 2, 0, 2, 1, 3, 2, 2, 1, 3, 3, 3,
+        1, 0, 0, 1, 2, 2, 1, 0, 0, 2, 3, 2, 2, 0, 2, 0, 1, 0, 3, 0, 3, 3, 3, 3,
+        2, 0, 2, 0, 3, 3, 3, 1, 2, 2, 1, 3, 2, 1, 2, 2, 0, 0, 3, 1, 0, 1, 3, 3,
+        1, 1, 1, 3, 3, 1, 2, 1, 0, 0, 2, 0, 2, 2, 1, 1, 0, 2, 3, 2, 0, 2, 0, 1,
+        2, 2, 0, 0, 1, 3, 3, 0, 1, 1, 3, 3, 3, 3, 2, 0, 1, 3, 0, 0, 3, 0, 2, 0,
+        0, 0, 3, 3, 1, 0, 3, 2, 2, 1, 0, 3, 2, 3, 2, 2, 0, 1, 1, 1, 1, 3, 3, 2,
+        1, 0, 1, 3, 0, 3, 0, 1, 0, 0
+    ],
+    (160, 64): [
+        139, 61, 36, 156, 75, 139, 25, 82, 143, 88, 130, 131, 154, 69, 88, 58,
+        113, 0, 152, 131, 107, 84, 45, 104, 6, 15, 129, 156, 2, 155, 75, 56,
+        123, 1, 103, 9, 154, 29, 58, 11, 154, 87, 25, 42, 157, 157, 76, 39, 44,
+        55, 147, 88, 33, 58, 83, 68, 27, 0, 151, 136, 81, 42, 10, 39, 35, 62,
+        120, 66, 155, 101, 101, 58, 125, 34, 109, 107, 38, 151, 120, 28, 106,
+        36, 49, 142, 21, 9, 95, 59, 69, 108, 155, 31, 97, 151, 117, 129, 120,
+        43, 27, 28, 47, 4, 91, 93, 154, 48, 75, 16, 97, 64, 106, 73, 122, 68,
+        45, 86, 130, 20, 108, 145, 35, 54, 138, 143, 26, 45, 126, 110, 70, 73,
+        74, 5, 98, 18, 1, 30, 157, 12, 60, 35, 96, 105, 31, 56, 96, 2, 65, 64,
+        143, 115, 142, 113, 36, 122, 137, 128, 93, 89, 132, 9, 34, 78, 102, 22,
+        107, 44, 152, 86, 82, 11, 35, 57, 109, 153, 102, 71, 25, 15, 59, 73, 36,
+        134, 18, 125, 41, 81, 127, 83, 21, 19, 24, 77, 157, 51, 10, 133, 147,
+        109, 22, 55, 143, 82
+    ],
+    (256, 64): [
+        139, 61, 36, 156, 75, 216, 25, 160, 143, 88, 130, 131, 154, 69, 187,
+        171, 113, 0, 152, 131, 107, 167, 45, 104, 186, 15, 129, 156, 164, 171,
+        75, 164, 232, 1, 103, 204, 154, 179, 58, 235, 154, 179, 175, 42, 157,
+        157, 76, 39, 44, 255, 207, 88, 218, 230, 214, 68, 27, 0, 151, 136, 81,
+        174, 201, 39, 181, 182, 210, 66, 155, 101, 101, 58, 125, 34, 194, 107,
+        204, 151, 120, 220, 106, 36, 209, 142, 181, 9, 95, 59, 69, 108, 155,
+        206, 97, 193, 178, 129, 120, 43, 27, 233, 213, 4, 91, 93, 154, 221, 75,
+        244, 97, 64, 162, 73, 122, 223, 45, 86, 130, 217, 170, 145, 35, 54, 138,
+        143, 246, 45, 126, 110, 70, 73, 74, 5, 98, 206, 1, 169, 157, 169, 186,
+        35, 96, 105, 203, 56, 96, 222, 222, 64, 162, 171, 163, 113, 36, 122,
+        232, 128, 212, 89, 218, 9, 241, 78, 102, 22, 174, 228, 251, 86, 160,
+        194, 35, 57, 109, 251, 102, 71, 25, 15, 182, 73, 36, 134, 18, 194, 41,
+        81, 127, 83, 21, 19, 24, 77, 157, 233, 175, 133, 178, 109, 22, 55, 182,
+        230
+    ],
+    (8, 128): [
+        2, 7, 2, 2, 4, 3, 1, 5, 4, 2, 5, 7, 5, 5, 2, 6, 7, 0, 2, 1, 1, 1, 4, 6,
+        6, 0, 6, 3, 2, 5, 5, 7, 5, 1, 3, 2, 0, 4, 2, 4, 5, 1, 6, 7, 6, 2, 0, 5,
+        5, 3, 4, 0, 0, 1, 7, 3, 2, 0, 5, 1, 1, 2, 0, 7, 2, 6, 5, 2, 2, 6, 3, 4,
+        4, 1, 6, 6, 2, 2, 1, 0, 0, 5, 6, 2, 1, 7, 4, 0, 1, 3, 4, 0, 3, 2, 3, 2,
+        2, 0, 2, 6, 6, 4, 5, 2, 0, 6, 4, 7, 6, 1, 5, 5, 5, 0, 3, 5, 6, 5, 4, 3,
+        1, 1, 7, 3, 4, 3, 3, 6, 7, 0, 1, 5, 2, 4, 1, 6, 6, 5, 6, 2, 0, 5, 6, 7,
+        6, 5, 3, 0, 1, 6, 4, 0, 1, 5, 3, 7, 0, 4, 5, 7, 5, 3, 7, 5, 5, 0, 2, 0,
+        5, 7, 4, 5, 0, 0, 4, 7, 3, 5, 0, 7, 7, 3, 2, 2, 6, 3, 4, 2, 5, 6, 2, 4,
+        2, 6, 6, 6, 4, 3, 5, 5, 6, 6
+    ],
+}
+
+
 class TestServiceRing:
     def test_stable_assignment(self):
         ring = ServiceRing(8)
@@ -89,6 +164,27 @@ class TestServiceRing:
         ring = ServiceRing(4)
         assert ring.moved_fraction(keys, ServiceRing(4)) == 0.0
         assert ring.moved_fraction([], ServiceRing(5)) == 0.0
+
+    @pytest.mark.parametrize("shape", sorted(_GOLDEN_ROUTES))
+    def test_golden_routing_table(self, shape):
+        n_servers, virtual_nodes = shape
+        ring = ServiceRing(n_servers, virtual_nodes=virtual_nodes)
+        assert [ring.server_for(k) for k in _GOLDEN_KEYS] == _GOLDEN_ROUTES[shape]
+
+    def test_equal_rings_share_immutable_points(self):
+        a = ServiceRing(160, virtual_nodes=64)
+        b = ServiceRing(160, virtual_nodes=64)
+        assert a._ring_keys is b._ring_keys
+        assert a._ring_servers is b._ring_servers
+        assert isinstance(a._ring_keys, tuple)
+        assert isinstance(a._ring_servers, tuple)
+        assert len(a._ring_keys) == 160 * 64
+        assert list(a._ring_keys) == sorted(a._ring_keys)
+        with pytest.raises(TypeError):
+            a._ring_keys[0] = 0
+        c = ServiceRing(160, virtual_nodes=32)
+        assert c._ring_keys is not a._ring_keys
+        assert len(c._ring_keys) == 160 * 32
 
 
 def _make_task(task_id="t0", **kw):

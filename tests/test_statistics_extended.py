@@ -1,5 +1,10 @@
 """Tests for multivariate (covariance) and contingency statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +149,20 @@ class TestContingency:
         b = ContingencyTable.from_data(x[half:], y[half:], xe, ye)
         whole = ContingencyTable.from_data(x, y, xe, ye)
         np.testing.assert_array_equal(a.merge(b).counts, whole.counts)
+
+    def test_import_repro_leaves_scipy_stats_unloaded(self):
+        """``scipy.stats`` is imported at the chi-square call only: loading
+        it would dominate ``import repro``."""
+        import repro
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_chi2_matches_scipy(self):
         x, y = self._correlated_fields()
