@@ -573,6 +573,15 @@ def _parse_kv_floats(pairs: list[str], option: str) -> dict[str, float]:
     return out
 
 
+def _warn_skipped(*stores) -> None:
+    """Say on stderr how many unreadable lines each store's last read
+    skipped (a torn or foreign line is dropped, never silently)."""
+    for path, skipped in {s.path: s.skipped_lines for s in stores}.items():
+        if skipped:
+            print(f"skipped {skipped} unreadable line(s) in {path}",
+                  file=sys.stderr)
+
+
 def _cmd_perf(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -617,6 +626,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     if args.action == "compare":
         base_records = baseline_store.records()
+        _warn_skipped(baseline_store)
         if not base_records:
             print(f"no baseline records in {baseline_store.path} — run "
                   f"`python -m repro perf record --store "
@@ -653,6 +663,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         which = baseline_store
     report = None
     base_records = baseline_store.records()
+    _warn_skipped(store, baseline_store)
     if records and base_records:
         baseline = Baseline.from_records(base_records, window=args.window)
         report = compare_record(records[-1], baseline, policies)
@@ -733,11 +744,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     quotas += _parse_quota_flags(args.quota)
 
     state = _service_state(args)
+    cache = ScheduleCache(state / "cache")
+    _warn_skipped(cache.store)
     service = CampaignService(
         workers=args.workers,
         quotas=quotas,
         default_quota=TenantQuota("*", max_concurrent=args.default_quota),
-        cache=ScheduleCache(state / "cache"),
+        cache=cache,
         jobs_store=RunStore(state / "jobs"))
     report = service.run_batch(specs)
 
@@ -935,6 +948,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     state = _service_state(args)
     store = RunStore(state / "jobs")
     records = [r for r in store.records() if r.source == JOBS_SOURCE]
+    _warn_skipped(store)
     if args.tenant:
         records = [r for r in records
                    if r.meta.get("tenant") == args.tenant]

@@ -11,58 +11,7 @@ import heapq
 from collections.abc import Callable, Generator
 from typing import Any
 
-from repro.backend import kernel
 from repro.obs.tracer import get_tracer
-
-
-class HeapEventQueue:
-    """The reference event queue: a binary heap ordered by ``(when, seq)``.
-
-    ``seq`` is the engine's monotone schedule counter, so equal-timestamp
-    events always dispatch in the order they were scheduled — the
-    determinism contract every backend's queue must preserve.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
-
-    def push(self, when: float, seq: int, fn: Callable[[Any], None],
-             arg: Any) -> None:
-        heapq.heappush(self._heap, (when, seq, fn, arg))
-
-    def next_time(self) -> float | None:
-        """Earliest pending timestamp (``None`` when empty)."""
-        return self._heap[0][0] if self._heap else None
-
-    def pop_due(self, when: float
-                ) -> tuple[Callable[[Any], None], Any] | None:
-        """Pop the next event scheduled at exactly ``when`` in ``seq``
-        order, or ``None`` once no event remains at that timestamp."""
-        heap = self._heap
-        if heap and heap[0][0] == when:
-            _when, _seq, fn, arg = heapq.heappop(heap)
-            return fn, arg
-        return None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
-@kernel("des.event_queue", traced=False)
-def make_event_queue() -> HeapEventQueue:
-    """Create the engine's pending-event queue (backend seam).
-
-    The reference implementation is the binary heap above; the numpy
-    backend substitutes a calendar/batched-heap queue that extracts whole
-    same-timestamp runs in one array operation while preserving exact
-    ``(when, seq)`` dispatch order.
-    """
-    return HeapEventQueue()
 
 
 class Interrupt(Exception):
@@ -215,7 +164,10 @@ class Engine:
     """Deterministic discrete-event engine with a float-seconds clock."""
 
     def __init__(self) -> None:
-        self._queue = make_event_queue()
+        #: Pending events as a binary heap of ``(when, seq, fn, arg)``.
+        #: ``seq`` is a monotone schedule counter, so equal-timestamp
+        #: events always dispatch in the order they were scheduled.
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self.now: float = 0.0
         self._processes: list[ProcessHandle] = []
@@ -243,13 +195,13 @@ class Engine:
         — ``run(until=...)`` — and use this to know when the batch has
         fully drained.
         """
-        return self._queue.next_time() is None
+        return not self._heap
 
     def next_event_time(self) -> float | None:
         """Earliest pending timestamp (None when idle). ``run(until=
         next_event_time())`` processes exactly that timestamp's events
         and leaves the clock there — no overshoot past the drain."""
-        return self._queue.next_time()
+        return self._heap[0][0] if self._heap else None
 
     # -- scheduling primitives ----------------------------------------------
 
@@ -257,7 +209,7 @@ class Engine:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        self._queue.push(self.now + delay, self._seq, fn, arg)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, arg))
 
     def event(self) -> EventHandle:
         """Create an untriggered one-shot event."""
@@ -331,23 +283,18 @@ class Engine:
         """
         traced = self._tracer.enabled
         probe = self._probe
-        queue = self._queue
-        while True:
-            when = queue.next_time()
-            if when is None:
-                break
+        heap = self._heap
+        while heap:
+            when = heap[0][0]
             if until is not None and when > until:
                 self.now = until
                 return self.now
             self.now = when
             # Drain the whole same-timestamp run (events scheduled *during*
-            # the run at the same time carry larger seqs and are picked up
-            # by subsequent pop_due calls, preserving (when, seq) order).
-            while True:
-                item = queue.pop_due(when)
-                if item is None:
-                    break
-                fn, arg = item
+            # the run at the same time carry larger seqs and are popped in
+            # turn, preserving (when, seq) order).
+            while heap and heap[0][0] == when:
+                _when, _seq, fn, arg = heapq.heappop(heap)
                 if probe is not None:
                     probe.on_advance(when)
                 if traced:
@@ -364,14 +311,13 @@ class Engine:
         the clock passes ``limit``.
         """
         probe = self._probe
-        queue = self._queue
+        heap = self._heap
         while not proc.finished:
-            when = queue.next_time()
-            if when is None:
+            if not heap:
                 raise RuntimeError(f"deadlock: process {proc.name!r} never finished")
             if self.now > limit:
                 raise RuntimeError(f"time limit {limit} exceeded waiting for {proc.name!r}")
-            fn, arg = queue.pop_due(when)
+            when, _seq, fn, arg = heapq.heappop(heap)
             self.now = when
             if probe is not None:
                 probe.on_advance(when)

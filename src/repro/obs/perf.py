@@ -169,6 +169,8 @@ class RunStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        #: Torn or foreign lines the last :meth:`records` call skipped.
+        self.skipped_lines = 0
 
     @property
     def path(self) -> Path:
@@ -182,7 +184,12 @@ class RunStore:
         return self.path
 
     def records(self) -> list[RunRecord]:
-        """All records, oldest first (file order; ties keep file order)."""
+        """All records, oldest first (file order; ties keep file order).
+
+        A torn or foreign line never poisons the store: it is skipped and
+        counted in :attr:`skipped_lines`.
+        """
+        self.skipped_lines = 0
         if not self.path.exists():
             return []
         out: list[RunRecord] = []
@@ -193,8 +200,9 @@ class RunStore:
                     continue
                 try:
                     out.append(RunRecord.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, TypeError, ValueError):
-                    continue  # a torn/foreign line never poisons the store
+                except (json.JSONDecodeError, AttributeError, TypeError,
+                        ValueError):  # AttributeError: not a JSON object
+                    self.skipped_lines += 1
         return out
 
     def last(self, n: int) -> list[RunRecord]:

@@ -96,9 +96,9 @@ def _pairwise_reduce(values: list[Any], op: Callable[[Any, Any], Any]) -> Any:
     deterministic for a fixed rank count and numerically better conditioned
     than left-to-right folding.
 
-    Backend seam: the numpy backend stacks same-shape ndarray contributions
-    and folds whole tree levels in single elementwise array operations —
-    the *same* pairing, so results stay bit-identical.
+    Backend seam: the numpy backend routes moment merges
+    (``moment_merge_op``) to its vectorized tree fold — the *same*
+    pairing, so results stay bit-identical.
     """
     vals = list(values)
     if not vals:
@@ -113,14 +113,8 @@ def _pairwise_reduce(values: list[Any], op: Callable[[Any, Any], Any]) -> Any:
     return vals[0]
 
 
-@kernel("vmpi.scan")
 def _scan_fold(values: list[Any], op: Callable[[Any, Any], Any]) -> list[Any]:
-    """Inclusive left-fold prefix reduction (MPI_Scan operation order).
-
-    Backend seam: the numpy backend maps whitelisted operators onto
-    ``ufunc.accumulate`` over the stacked contributions, which applies the
-    identical left-to-right fold in one pass.
-    """
+    """Inclusive left-fold prefix reduction (MPI_Scan operation order)."""
     out: list[Any] = []
     acc = None
     for v in values:

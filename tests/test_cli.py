@@ -274,6 +274,18 @@ class TestServiceCli:
         assert rc == 1
         assert "CACHE MISS RATE TOO HIGH" in capsys.readouterr().out
 
+    def test_serve_reports_unreadable_cache_lines(self, tmp_path, capsys):
+        jobs = tmp_path / "batch.jsonl"
+        self._submit(jobs, "a", "j1", 2)
+        cache_log = tmp_path / "service" / "cache" / "runs.jsonl"
+        cache_log.parent.mkdir(parents=True)
+        cache_log.write_text('{"run_id": "torn\n')
+        rc = main(["serve", "--jobs", str(jobs), "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.out
+        assert (f"skipped 1 unreadable line(s) in {cache_log}"
+                in captured.err)
+
     def test_serve_quota_lines_in_batch_file(self, tmp_path, capsys):
         import json
 

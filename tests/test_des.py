@@ -171,6 +171,39 @@ class TestEngineBasics:
         assert caught and "unsupported" in caught[0]
 
 
+class TestEngineDispatch:
+    def test_idle_on_fresh_engine_and_after_drain(self):
+        eng = Engine()
+        assert eng.idle()
+        assert eng.next_event_time() is None
+        eng.timeout(3.0)
+        assert not eng.idle()
+        eng.run()
+        assert eng.idle()
+        assert eng.now == 3.0
+
+    def test_next_event_time_is_earliest_timestamp(self):
+        eng = Engine()
+        for delay in (4.0, 1.5, 2.5):
+            eng.timeout(delay)
+        assert eng.next_event_time() == 1.5
+        assert eng.now == 0.0  # peeking never advances the clock
+
+    def test_run_until_next_event_time_stops_on_that_timestamp(self):
+        eng = Engine()
+        fired = []
+        eng._schedule(2.0, fired.append, "a")
+        eng._schedule(
+            2.0, lambda _: eng._schedule(0.0, fired.append, "late"), None)
+        eng._schedule(2.0, fired.append, "b")
+        eng._schedule(5.0, fired.append, "c")
+        assert eng.run(until=eng.next_event_time()) == 2.0
+        assert fired == ["a", "b", "late"]
+        assert eng.now == 2.0
+        assert eng.next_event_time() == 5.0
+        assert not eng.idle()
+
+
 class TestStore:
     def test_fifo_order(self):
         eng = Engine()

@@ -53,11 +53,37 @@ class TestRunStore:
             fh.write("{not json\n\n")
         store.append(_record({"v": 2.0}))
         assert [r.metrics["v"] for r in store.records()] == [1.0, 2.0]
+        assert store.skipped_lines == 1
 
     def test_empty_store(self, tmp_path):
         store = RunStore(tmp_path / "nothing")
         assert store.records() == []
         assert len(store) == 0
+
+    def test_unreadable_lines_are_counted_and_reported(self, tmp_path,
+                                                       capsys):
+        from repro.service.api import JOBS_SOURCE
+
+        out_dir = tmp_path / "out"
+        store = RunStore(out_dir / "service" / "jobs")
+        store.append(_record({"service.makespan_s": 2.0},
+                             source=JOBS_SOURCE,
+                             meta={"job_id": "a/j1", "tenant": "a"}))
+        with open(store.path, "a") as fh:
+            fh.write('{"run_id": "torn", "metr\n')
+            fh.write("[1, 2, 3]\n")
+        assert len(store.records()) == 1
+        assert store.skipped_lines == 2
+        assert main(["jobs", "--out-dir", str(out_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "1 job(s)" in captured.out
+        assert (f"skipped 2 unreadable line(s) in {store.path}"
+                in captured.err)
+        assert main(["perf", "report", "--store", str(store.root),
+                     "--baseline", str(store.root),
+                     "--out-dir", str(out_dir)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("skipped 2 unreadable line(s)") == 1
 
 
 class TestBaseline:

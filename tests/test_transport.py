@@ -38,11 +38,20 @@ class TestRegistration:
 
     def test_live_bytes_tracks_scratch_footprint(self, dart):
         _eng, t = dart
-        t.register("node-0", np.zeros(100))
+        first = t.register("node-0", np.zeros(100))
         t.register("node-0", np.zeros(100))
         t.register("node-1", np.zeros(100))
         assert t.registry.live_bytes("node-0") == 1600
         assert t.registry.live_bytes() == 2400
+        t.release(first)
+        t.register("node-1", np.zeros(50))
+        reg = t.registry
+        assert reg.live_bytes("node-0") == 800
+        assert reg.live_bytes("node-1") == 1200
+        # the maintained counter equals the per-node sums
+        assert reg.live_bytes() == 2000
+        assert reg.live_bytes() == (reg.live_bytes("node-0")
+                                    + reg.live_bytes("node-1"))
 
     def test_descriptor_validation(self):
         with pytest.raises(ValueError):
