@@ -164,9 +164,7 @@ def test_fig5_replay_speedup_floor(bench_json_writer):
 
 
 def _kernel_cases():
-    rng = np.random.default_rng(44)
     packed_moments, partials = _fig5_payload()
-    blocks = [rng.uniform(0, 1, 128) for _ in range(512)]
     field = _fig6_field()
     decomp = BlockDecomposition3D(FIG6_SHAPE, FIG6_RANKS)
     from repro.analysis.topology.distributed import (
@@ -181,7 +179,6 @@ def _kernel_cases():
             lambda impl: impl(packed_moments, FIG5_VARS),
         "statistics.autocorr_merge":
             lambda impl: impl(partials, FIG5_MAX_LAG),
-        "statistics.learn_blocks": lambda impl: impl(blocks),
         "topology.glue_batch": lambda impl: impl(bts, edges),
         "topology.merge_tree": lambda impl: impl(field),
     }

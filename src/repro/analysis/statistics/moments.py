@@ -135,10 +135,8 @@ moment_merge_op.is_moment_merge = True
 def learn_blocks(blocks: list[np.ndarray]) -> list[MomentAccumulator]:
     """The batched learn pass: one accumulator per data block.
 
-    Backend seam: the numpy backend stacks same-size blocks and computes
-    every block's ``(n, min, max, mean, M2, M3, M4)`` in shared axis-wise
-    array passes — per-row sums use the same pairwise summation as the
-    per-block reference, so the aggregates are bit-identical.
+    Every backend runs this body (no workload gained from a batched
+    numpy version, so there is none).
     """
     return [MomentAccumulator.from_data(b) for b in blocks]
 

@@ -115,8 +115,8 @@ def _glue_batch(boundary_trees: list[BoundaryTree],
     accounting (finalization counts, live-vertex high-water mark).
 
     The reference body streams through a fresh :class:`StreamingGlue`;
-    the numpy backend builds the same augmented tree with one batch
-    union-find sweep over the combined vertex/edge set — the augmented
+    the numpy backend builds the same augmented tree in one rank-space
+    pass over the combined vertex/edge set — the augmented
     merge tree is unique given the (value, id) total order, so the
     outputs are identical node-for-node and arc-for-arc.
     """

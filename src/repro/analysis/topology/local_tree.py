@@ -17,11 +17,11 @@ nothing (tested against the global tree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.topology.merge_tree import MergeTree, compute_merge_tree
+from repro.analysis.topology.merge_tree import compute_merge_tree
 
 
 @dataclass
@@ -71,37 +71,36 @@ def compute_boundary_tree(block_values: np.ndarray, id_map: np.ndarray,
     flat_vals = block_values.ravel()
     flat_ids = np.asarray(id_map).ravel()
     flat_arc = np.asarray(vertex_arc).ravel()
-    flat_boundary = np.asarray(boundary_mask).ravel()
+    flat_boundary = np.asarray(boundary_mask, dtype=bool).ravel()
 
-    value_of = {int(i): float(v) for i, v in zip(flat_ids, flat_vals)}
-
-    critical = set(tree.value)
-    boundary_ids = [int(i) for i in flat_ids[flat_boundary]]
-    retained = critical | set(boundary_ids)
-
-    # Group retained regular vertices by the arc (upper node) they lie on.
-    on_arc: dict[int, list[int]] = {}
-    for i, arc in zip(flat_ids, flat_arc):
-        gid = int(i)
-        if gid in retained and gid not in critical:
-            on_arc.setdefault(int(arc), []).append(gid)
-
-    nodes = {gid: value_of[gid] for gid in retained}
-    edges: list[tuple[int, int]] = []
-    for upper in tree.value:
-        chain = on_arc.get(upper, [])
-        # Sort descending in the sweep order (value, id); the arc runs from
-        # `upper` down through the retained regulars to upper's parent.
-        chain.sort(key=lambda g: (value_of[g], g), reverse=True)
-        prev = upper
-        for gid in chain:
-            edges.append((prev, gid))
-            prev = gid
-        parent = tree.parent[upper]
-        if parent is not None:
-            edges.append((prev, int(parent)))
+    # A vertex is critical (a tree node) exactly when it is its own arc.
+    critical = flat_arc == flat_ids
+    keep = np.flatnonzero(critical | flat_boundary)
+    ids = flat_ids[keep]
+    vals = flat_vals[keep]
+    arc = flat_arc[keep]
+    nodes = dict(zip(ids.tolist(), vals.tolist()))
+    # The arc node's value: look each arc id up among the critical ids.
+    crit_pos = np.flatnonzero(critical)
+    by_id = np.argsort(flat_ids[crit_pos])
+    arc_pos = crit_pos[by_id[np.searchsorted(flat_ids[crit_pos][by_id], arc)]]
+    # One descending sort on (arc value, arc id, value, id) lays out every
+    # arc as its upper node followed by the retained regular vertices on
+    # it, arcs in sweep order (the tree's node order).
+    seq = np.lexsort((ids, vals, arc, flat_vals[arc_pos]))[::-1]
+    ids = ids[seq]
+    heads = np.flatnonzero(ids == arc[seq])
+    # Each retained vertex links to the next one on its arc; an arc's
+    # last vertex links to the upper node's parent, if it has one.
+    parents = [tree.parent[h] for h in ids[heads].tolist()]
+    last = np.append(heads[1:], ids.size) - 1
+    lower = np.append(ids[1:], 0)
+    lower[last] = [0 if p is None else p for p in parents]
+    linked = np.ones(ids.size, dtype=bool)
+    linked[last] = [p is not None for p in parents]
+    edges = list(zip(ids[linked].tolist(), lower[linked].tolist()))
 
     bt = BoundaryTree(nodes=nodes, edges=edges,
-                      boundary_ids=sorted(set(boundary_ids)),
+                      boundary_ids=np.sort(flat_ids[flat_boundary]).tolist(),
                       n_block_cells=int(block_values.size))
     return bt

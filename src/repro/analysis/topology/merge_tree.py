@@ -67,6 +67,23 @@ class MergeTree:
 
     # -- construction -----------------------------------------------------------
 
+    @classmethod
+    def from_maps(cls, value: dict[int, float],
+                  parent: dict[int, int | None],
+                  children: dict[int, list[int]]) -> "MergeTree":
+        """Adopt prebuilt maps as the tree, without validation.
+
+        For kernels that derive the whole tree at once: the caller
+        guarantees what :meth:`add_node`/:meth:`set_parent` would check
+        (the three maps share one key set, every arc descends in the
+        sweep order, ``children`` inverts ``parent``).
+        """
+        tree = cls()
+        tree.value = value
+        tree.parent = parent
+        tree._children = children
+        return tree
+
     def add_node(self, node_id: int, value: float) -> None:
         if node_id in self.value:
             raise ValueError(f"node {node_id} already in tree")
@@ -244,10 +261,12 @@ def compute_merge_tree(field: np.ndarray,
     vertex ids; by default flat local indices are used.
 
     This is the paper's *in-situ* algorithm: one sort of the block plus a
-    near-linear union-find sweep. Backend seam: the numpy backend
-    precomputes the neighbour table and sweep ranks vectorially and runs
-    the identical union-find sweep over plain lists — same visit order,
-    same neighbour order, bit-identical tree and ``vertex_arc``.
+    near-linear union-find sweep. Backend seam: the numpy backend maps
+    every vertex to the maximum its steepest-ascent path reaches with
+    array passes and runs union-find only over vertices with a higher
+    neighbour in another such region; it returns the identical tree
+    (same node and children order) and ``vertex_arc``, although it
+    does not visit vertices in this sweep's order.
     """
     values = np.asarray(field, dtype=np.float64).ravel()
     n = values.size

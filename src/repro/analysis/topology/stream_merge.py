@@ -137,8 +137,8 @@ def compute_merge_tree_graph(values: dict[int, float],
     vertex becomes a node (chains included), matching
     :class:`StreamingGlue`'s augmented output. Used to verify the
     streaming algorithm and as an independent oracle in tests. Backend
-    seam: the numpy backend lexsorts the sweep order and compacts the
-    adjacency vectorially, then runs the identical sweep.
+    seam: the numpy backend builds the same tree from steepest-ascent
+    regions in rank space (see ``compute_merge_tree``).
     """
     if not values:
         raise ValueError("cannot compute the merge tree of an empty graph")

@@ -6,8 +6,8 @@ learn/merge kernels) dispatch through this package. Two backends ship:
 
 * ``reference`` — the original pure-python implementations, unchanged,
   living at their original sites as the bodies of ``@kernel`` functions;
-* ``numpy`` — vectorized kernels (array union-find sweeps, single-pass
-  vectorized moments and moment-merge collectives) validated
+* ``numpy`` — vectorized kernels (steepest-ascent-region merge trees
+  and glue, array moment merges and moment-merge collectives) validated
   *bit-identically* against the reference by ``tests/test_backends.py``.
 
 Select a backend with the ``REPRO_BACKEND`` environment variable, the

@@ -10,11 +10,13 @@ the outputs the analyses consume — the equivalence contract of DESIGN.md
 * per-row pairwise summation — numpy's ``sum`` over the contiguous axis
   of a stacked ``(rows, m)`` array applies the same pairwise summation
   as summing each row alone, so batched sums equal per-block sums;
-* vectorized precompute + identical sweep — the merge-tree kernels build
-  neighbour tables and sweep ranks with array operations, then run the
-  reference's union-find sweep over plain python lists (numpy scalar
-  indexing is the reference's real cost), preserving visit order and
-  union order exactly;
+* same outputs from a different sweep — the merge-tree kernels work in
+  rank space on steepest-ascent regions (:func:`_region_sweep`): array
+  passes settle every vertex whose higher neighbours share its region,
+  and a union-find runs only over the vertices that can merge
+  components. The tree maps (in the reference's insertion and children
+  order), ``vertex_arc`` and the glued augmented tree are the
+  reference's, bit for bit; the visit order is not;
 * a kernel that cannot guarantee exactness for its inputs (unknown
   operator, mixed shapes, zero-count accumulators) falls back to the
   reference implementation rather than approximate.
@@ -27,6 +29,7 @@ falls back to ``reference`` with a single warning.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -60,28 +63,112 @@ def pairwise_reduce_numpy(values: list[Any],
 
 
 # ---------------------------------------------------------------------------
-# (2) topology: vectorized precompute + list-based union-find sweeps
+# (2) topology: steepest-ascent regions in rank space
 # ---------------------------------------------------------------------------
 
 
-def _grid_strides(shape: tuple[int, ...]) -> list[int]:
-    strides: list[int] = []
-    s = 1
-    for extent in reversed(shape):
-        strides.append(s)
-        s *= extent
-    strides.reverse()
-    return strides
+def _sweep_ranks(ids: np.ndarray, values: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep order (descending ``(value, id)``) and each vertex's rank."""
+    order = np.lexsort((ids, values))[::-1]
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return order, rank
+
+
+def _region_sweep(n: int, at: np.ndarray, nb: np.ndarray
+                  ) -> tuple[np.ndarray, dict[int, int], dict[int, list[int]]]:
+    """The reference's union-find sweep, reduced to the vertices that can
+    merge components.
+
+    Everything is in rank space: vertex ``p`` is the ``p``-th of the
+    sweep, so "processed before" is "smaller rank". ``at``/``nb`` list
+    each vertex's *higher* neighbours (``nb[k] < at[k]``), grouped by
+    ``at`` ascending and, within a vertex, in the reference's probe order.
+
+    1. *Regions.* Every vertex points at its highest neighbour if that
+       one is higher (a maximum at itself); pointer jumping maps it to
+       the maximum its steepest-ascent path reaches. Every vertex on that
+       path is higher, so when the sweep reaches a vertex it is already
+       in its region maximum's component.
+    2. *Union-find over cross-region vertices.* A vertex whose higher
+       neighbours all lie in its own region meets one component. Only a
+       vertex with a higher neighbour in another region can merge, so a
+       union-find over region maxima and saddles, fed those vertices in
+       rank order with their neighbours' regions in probe order, sees
+       the reference's distinct components, in the reference's order,
+       at every step. Each of its roots is its component's latest tree
+       node.
+    3. *Arcs by binary lifting.* A vertex's arc is its component's latest
+       node when the sweep reaches it: the deepest ancestor of its region
+       maximum with rank at most its own (ranks grow toward the root). A
+       maximum or saddle is its own arc.
+
+    Returns ``(arc, parent_of, kids)``: every vertex's arc node, and the
+    merge tree over the critical vertices (those with ``arc[p] == p``) as
+    child -> parent and saddle -> children in the reference's order.
+    """
+    p = np.arange(n)
+    counts = np.bincount(at, minlength=n)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+
+    # (1) regions: steepest-ascent pointers, then pointer jumping.
+    region = p.copy()
+    inner = counts > 0
+    if nb.size:
+        region[inner] = np.minimum.reduceat(nb, offsets[:-1][inner])
+    while True:
+        jumped = region[region]
+        if np.array_equal(jumped, region):
+            break
+        region = jumped
+
+    # (2) union-find over the vertices with a higher neighbour in
+    # another region.
+    nb_region = region[nb]
+    cross = np.flatnonzero(
+        np.bincount(at[nb_region != region[at]], minlength=n)).tolist()
+    nb_region_l = nb_region.tolist()
+    offsets_l = offsets.tolist()
+    uf = list(range(n))
+    parent_of: dict[int, int] = {}
+    kids: dict[int, list[int]] = {}
+    for v in cross:
+        roots: list[int] = []
+        for x in nb_region_l[offsets_l[v]:offsets_l[v + 1]]:
+            while uf[x] != x:  # find with path halving
+                uf[x] = uf[uf[x]]
+                x = uf[x]
+            if x not in roots:
+                roots.append(x)
+        if len(roots) > 1:  # saddle: the merging components' nodes
+            for x in roots:
+                uf[x] = v
+                parent_of[x] = v
+            kids[v] = roots
+
+    # (3) arcs: binary lifting over tree parents (roots loop to self).
+    up = p.copy()
+    if parent_of:
+        up[np.fromiter(parent_of, np.int64, len(parent_of))] = np.fromiter(
+            parent_of.values(), np.int64, len(parent_of))
+    levels = [up]
+    while True:
+        nxt = levels[-1][levels[-1]]
+        if np.array_equal(nxt, levels[-1]):
+            break
+        levels.append(nxt)
+    arc = region
+    for anc in reversed(levels):
+        cand = anc[arc]
+        arc = np.where(cand <= p, cand, arc)
+    return arc, parent_of, kids
 
 
 def merge_tree_numpy(field: np.ndarray, id_map: np.ndarray | None = None):
-    """Grid merge tree: vectorized neighbour table and sweep ranks, then
-    the reference's union-find sweep over plain lists.
-
-    The sweep visits vertices in the same order, probes neighbours in the
-    same (−stride, +stride per axis) order, and performs the same find /
-    union sequence, so the tree and ``vertex_arc`` are bit-identical.
-    """
+    """Grid merge tree by steepest-ascent regions (:func:`_region_sweep`):
+    the reference's tree maps, children order and ``vertex_arc``, bit for
+    bit, with union-find work only at cross-region vertices."""
     from repro.analysis.topology.merge_tree import MergeTree
 
     values_arr = np.asarray(field, dtype=np.float64).ravel()
@@ -93,238 +180,178 @@ def merge_tree_numpy(field: np.ndarray, id_map: np.ndarray | None = None):
         ids = np.asarray(id_map).ravel()
         if ids.size != n:
             raise ValueError(f"id_map size {ids.size} != field size {n}")
-        if np.unique(ids).size != n:
+        sorted_ids = np.sort(ids)  # np.unique hashes: ~20x slower here
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise ValueError("id_map must assign distinct ids")
     else:
         ids = np.arange(n, dtype=np.int64)
 
-    order = np.lexsort((ids, values_arr))[::-1]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    order, rank = _sweep_ranks(ids, values_arr)
+    # Neighbour ranks, row p for the rank-p vertex, in the reference's
+    # probe order (per axis −stride then +stride); n = out of bounds.
+    rank_ext = np.append(rank, n)
+    cols = []
+    stride = n
+    for extent in shape:
+        stride //= extent
+        coord = (order // stride) % extent
+        cols.append(rank_ext[np.where(coord > 0, order - stride, n)])
+        cols.append(rank_ext[np.where(coord < extent - 1, order + stride, n)])
+    p = np.arange(n)
+    nbr = np.stack(cols, axis=1) if cols else np.empty((n, 0), np.int64)
+    higher = nbr < p[:, None]
+    arc, parent_of, kids = _region_sweep(
+        n, np.broadcast_to(p[:, None], nbr.shape)[higher], nbr[higher])
 
-    # Neighbour table in _iter_grid_neighbors order: per axis −st then
-    # +st, with −1 marking out-of-bounds.
-    idx = np.arange(n)
-    rem = idx
-    nbr_cols = []
-    for axis, st in enumerate(_grid_strides(shape)):
-        coord = rem // st
-        rem = rem % st
-        nbr_cols.append(np.where(coord > 0, idx - st, -1))
-        nbr_cols.append(np.where(coord < shape[axis] - 1, idx + st, -1))
-    nbrs_l = np.stack(nbr_cols, axis=1).tolist()
-
-    order_l = order.tolist()
-    rank_l = rank.tolist()
-    ids_l = [int(x) for x in ids.tolist()]
-    values_l = values_arr.tolist()
-
-    parent_uf = list(range(n))
-    comp_node = [-1] * n
-    vertex_arc_local = [-1] * n
-    tree = MergeTree()
-
-    for i, v in enumerate(order_l):
-        neighbor_roots: list[int] = []
-        for u in nbrs_l[v]:
-            if u >= 0 and rank_l[u] < i:  # processed earlier in the sweep
-                x = u
-                while parent_uf[x] != x:  # find with path halving
-                    parent_uf[x] = parent_uf[parent_uf[x]]
-                    x = parent_uf[x]
-                if x not in neighbor_roots:
-                    neighbor_roots.append(x)
-        if not neighbor_roots:
-            tree.add_node(ids_l[v], values_l[v])
-            comp_node[v] = v
-            vertex_arc_local[v] = v
-        elif len(neighbor_roots) == 1:
-            r = neighbor_roots[0]
-            parent_uf[v] = r
-            x = v
-            while parent_uf[x] != x:
-                parent_uf[x] = parent_uf[parent_uf[x]]
-                x = parent_uf[x]
-            comp_node[x] = comp_node[r]
-            vertex_arc_local[v] = comp_node[r]
-        else:
-            tree.add_node(ids_l[v], values_l[v])
-            for r in neighbor_roots:
-                tree.set_parent(ids_l[comp_node[r]], ids_l[v])
-                parent_uf[r] = v
-            x = v
-            while parent_uf[x] != x:
-                parent_uf[x] = parent_uf[parent_uf[x]]
-                x = parent_uf[x]
-            comp_node[x] = v
-            vertex_arc_local[v] = v
-
-    vertex_arc = ids[np.asarray(vertex_arc_local,
-                                dtype=np.int64)].reshape(shape)
-    return tree, vertex_arc
+    vertex_arc = np.empty(n, dtype=ids.dtype)
+    vertex_arc[order] = ids[order[arc]]
+    # Tree maps over the critical vertices, in sweep order as the
+    # reference inserts them.
+    crit = np.flatnonzero(arc == p)
+    crit_ids = ids[order[crit]].astype(np.int64).tolist()
+    id_of = dict(zip(crit.tolist(), crit_ids))
+    value = dict(zip(crit_ids, values_arr[order[crit]].tolist()))
+    parent: dict[int, int | None] = dict.fromkeys(crit_ids)
+    children: dict[int, list[int]] = {i: [] for i in crit_ids}
+    for c, q in parent_of.items():
+        parent[id_of[c]] = id_of[q]
+    for c, ks in kids.items():
+        children[id_of[c]] = [id_of[k] for k in ks]
+    return (MergeTree.from_maps(value, parent, children),
+            vertex_arc.reshape(shape))
 
 
-def _graph_sweep(ids: list[int], vals_l: list[float], order_l: list[int],
-                 rank_l: list[int], adj: list[int], offsets: list[int]):
-    """The reference graph sweep over CSR adjacency and plain lists."""
+def _edge_positions(sorted_ids: np.ndarray, sorter: np.ndarray,
+                    edges: list[tuple[int, int]]) -> np.ndarray | None:
+    """``(m, 2)`` vertex positions of the edge endpoints, or ``None`` when
+    an endpoint is not a vertex (the caller raises its own error)."""
+    ends = np.fromiter(chain.from_iterable(edges), np.int64,
+                       2 * len(edges)).reshape(len(edges), 2)
+    if sorted_ids.size == 0:
+        return None if len(edges) else ends
+    pos = np.minimum(np.searchsorted(sorted_ids, ends), sorted_ids.size - 1)
+    if not np.array_equal(sorted_ids[pos], ends):
+        return None
+    return sorter[pos]
+
+
+def _graph_tree(ids: np.ndarray, values: np.ndarray, ends: np.ndarray):
+    """Augmented merge tree of a graph by steepest-ascent regions.
+
+    In the reference sweep every vertex is a node and becomes its
+    component's latest vertex, so a vertex's parent is the next vertex
+    swept into its component. Between merges a component's arc
+    (:func:`_region_sweep`) is fixed: the vertices sharing an arc form a
+    chain in rank order, and the chain's last vertex hangs below the
+    saddle where the arc's component merges.
+    """
     from repro.analysis.topology.merge_tree import MergeTree
 
-    n = len(ids)
-    parent_uf = list(range(n))
-    latest = [-1] * n
-    tree = MergeTree()
-    for i, vi in enumerate(order_l):
-        vid = ids[vi]
-        tree.add_node(vid, vals_l[vi])
-        roots: list[int] = []
-        for j in range(offsets[vi], offsets[vi + 1]):
-            nb = adj[j]
-            if rank_l[nb] < i:
-                x = nb
-                while parent_uf[x] != x:
-                    parent_uf[x] = parent_uf[parent_uf[x]]
-                    x = parent_uf[x]
-                if x not in roots:
-                    roots.append(x)
-        for r in roots:
-            tree.set_parent(latest[r], vid)
-            parent_uf[r] = vi
-        x = vi
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        latest[x] = vid
-    return tree
+    n = ids.size
+    order, rank = _sweep_ranks(ids, values)
+    # Directed entries in the reference's adjacency order (u→v then v→u
+    # per edge), kept where the neighbour is higher.
+    at = rank[ends].ravel()
+    nb = rank[ends[:, ::-1]].ravel()
+    keep = nb < at
+    by_vertex = np.argsort(at[keep], kind="stable")
+    arc, parent_of, kids = _region_sweep(n, at[keep][by_vertex],
+                                         nb[keep][by_vertex])
 
+    p = np.arange(n)
+    seq = np.lexsort((p, arc))  # the chains: by arc, then by rank
+    heads = np.flatnonzero(arc[seq] == seq)  # each chain starts at its arc
+    tail = dict(zip(seq[heads].tolist(),
+                    seq[np.append(heads[1:], n) - 1].tolist()))
+    nxt = p.copy()
+    nxt[seq[:-1]] = seq[1:]
+    prev = p.copy()
+    prev[seq[1:]] = seq[:-1]
 
-def _graph_csr(ids_arr: np.ndarray, edges: list[tuple[int, int]],
-               n: int) -> tuple[list[int], list[int]] | None:
-    """CSR adjacency preserving the reference's per-vertex edge order.
-
-    Returns ``None`` when an edge references an unknown vertex (caller
-    decides the error semantics).
-    """
-    if not edges:
-        return [], [0] * (n + 1)
-    ea = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-    pos = np.searchsorted(ids_arr, ea)
-    ok = (pos < n) & (ids_arr[np.minimum(pos, n - 1)] == ea)
-    if not bool(ok.all()):
-        return None
-    # Directed entries in reference append order: u→v then v→u per edge.
-    src = pos.ravel()
-    dst = pos[:, ::-1].ravel()
-    order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return dst[order].tolist(), offsets.tolist()
+    ids_r = ids[order]
+    ids_l = ids_r.tolist()
+    parent_l = ids_r[nxt].tolist()
+    children_l = [[x] for x in ids_r[prev].tolist()]
+    for a, v in tail.items():
+        parent_l[v] = ids_l[parent_of[a]] if a in parent_of else None
+        children_l[a] = [ids_l[tail[k]] for k in kids.get(a, ())]
+    value = dict(zip(ids_l, values[order].tolist()))
+    return MergeTree.from_maps(value, dict(zip(ids_l, parent_l)),
+                               dict(zip(ids_l, children_l)))
 
 
 def graph_merge_tree_numpy(values: dict[int, float],
                            edges: list[tuple[int, int]]):
-    """Augmented merge tree of a graph: vectorized sweep order and CSR
-    adjacency, then the identical union-find sweep."""
+    """Augmented merge tree of a graph, swept in rank space."""
     if not values:
         raise ValueError("cannot compute the merge tree of an empty graph")
-    ids = sorted(values)
-    n = len(ids)
-    ids_arr = np.array(ids, dtype=np.int64)
-    vals = np.array([values[vid] for vid in ids], dtype=np.float64)
-    csr = _graph_csr(ids_arr, edges, n)
-    if csr is None:
+    ids = np.fromiter(values, np.int64, len(values))
+    vals = np.fromiter(values.values(), np.float64, len(values))
+    sorter = np.argsort(ids)
+    ends = _edge_positions(ids[sorter], sorter, edges)
+    if ends is None:
         # Reproduce the reference's first-offender KeyError.
         for u, v in edges:
             if u not in values or v not in values:
                 raise KeyError(f"edge ({u},{v}) references unknown vertex")
-        raise AssertionError("unreachable")
-    adj, offsets = csr
-    order = np.lexsort((ids_arr, vals))[::-1]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return _graph_sweep(ids, vals.tolist(), order.tolist(), rank.tolist(),
-                        adj, offsets)
+    return _graph_tree(ids, vals, ends)
 
 
-def glue_batch_numpy(boundary_trees, cross_edges):
-    """Batch glue: one union-find sweep over the combined vertex/edge
-    set instead of streaming chain-merges.
-
-    The augmented merge tree is unique given the (value, id) total
-    order, so this equals ``StreamingGlue``'s output node-for-node and
-    arc-for-arc. Streaming-order error semantics (duplicate vertices,
-    self-edges, undeclared endpoints) are reproduced exactly.
-    """
-    values: dict[int, float] = {}
+def _raise_glue_input_error(boundary_trees, edges) -> None:
+    """Raise the error streaming the input would raise first: a
+    duplicate vertex, then, edge by edge, a self-edge or an undeclared
+    endpoint."""
+    seen: set[int] = set()
     for bt in boundary_trees:
-        for vid, val in bt.nodes.items():
+        for vid in bt.nodes:
             vid = int(vid)
-            if vid in values:
+            if vid in seen:
                 raise ValueError(f"vertex {vid} already streamed")
-            values[vid] = float(val)
-    edges: list[tuple[int, int]] = []
-    for bt in boundary_trees:
-        edges.extend(bt.edges)
-    edges.extend(cross_edges)
-    checked: list[tuple[int, int]] = []
+            seen.add(vid)
     for u, v in edges:
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self-edge on vertex {u}")
         for x in (u, v):
-            if x not in values:
+            if x not in seen:
                 raise KeyError(
                     f"edge ({u},{v}) streamed before vertex {x} was declared")
-        checked.append((u, v))
-    if not values:
-        from repro.analysis.topology.merge_tree import MergeTree
 
+
+def glue_batch_numpy(boundary_trees, cross_edges):
+    """Batch glue: the augmented merge tree of the combined vertex/edge
+    set in one rank-space pass instead of streaming chain-merges.
+
+    The augmented merge tree is unique given the (value, id) total
+    order, so this equals ``StreamingGlue``'s output node-for-node and
+    arc-for-arc. The input is validated with array operations; a bad
+    input raises the error streaming raises first (duplicate vertex,
+    self-edge, undeclared endpoint), with the same message.
+    """
+    from repro.analysis.topology.merge_tree import MergeTree
+
+    n = sum(len(bt.nodes) for bt in boundary_trees)
+    ids = np.fromiter(chain.from_iterable(bt.nodes for bt in boundary_trees),
+                      np.int64, n)
+    vals = np.fromiter(
+        chain.from_iterable(bt.nodes.values() for bt in boundary_trees),
+        np.float64, n)
+    edges = [*chain.from_iterable(bt.edges for bt in boundary_trees),
+             *cross_edges]
+    sorter = np.argsort(ids)
+    sorted_ids = ids[sorter]
+    ends = _edge_positions(sorted_ids, sorter, edges)
+    if (ends is None or np.any(sorted_ids[1:] == sorted_ids[:-1])
+            or np.any(ends[:, 0] == ends[:, 1])):
+        _raise_glue_input_error(boundary_trees, edges)
+    if n == 0:
         return MergeTree()
-    return graph_merge_tree_numpy(values, checked)
+    return _graph_tree(ids, vals, ends)
 
 
 # ---------------------------------------------------------------------------
-# (3) statistics: batched single-pass moments / contingency / autocorrelation
+# (3) statistics: moment merges / contingency / autocorrelation
 # ---------------------------------------------------------------------------
-
-
-#: Batch only small-to-medium blocks — measured: beyond ~2048 elements
-#: the stacked temporaries blow the cache while the per-block reference
-#: (itself vectorised) stays resident, so batching loses. Module-level
-#: so tests can force either path.
-LEARN_BLOCK_MAX_ELEMS = 2048
-
-
-def learn_blocks_numpy(blocks):
-    """Batched learn: stack same-size blocks and compute every block's
-    aggregates in shared axis-wise passes (per-row pairwise sums are
-    identical to per-block sums)."""
-    from repro.analysis.statistics.moments import MomentAccumulator
-
-    arrs = [np.asarray(b, dtype=np.float64).ravel() for b in blocks]
-    if not arrs:
-        return []
-    m = arrs[0].size
-    if (m == 0 or m > LEARN_BLOCK_MAX_ELEMS
-            or any(a.size != m for a in arrs)):
-        return _ref("statistics.learn_blocks")(blocks)
-    stack = np.stack(arrs)
-    if not np.all(np.isfinite(stack)):
-        # Re-run per block so the error surfaces exactly as the
-        # reference raises it (first offending block).
-        return _ref("statistics.learn_blocks")(blocks)
-    means = np.mean(stack, axis=1)
-    d = stack - means[:, None]
-    d2 = d * d
-    mins = np.min(stack, axis=1)
-    maxs = np.max(stack, axis=1)
-    m2 = np.sum(d2, axis=1)
-    m3 = np.sum(d2 * d, axis=1)
-    m4 = np.sum(d2 * d2, axis=1)
-    return [MomentAccumulator(n=m, minimum=float(mins[i]),
-                              maximum=float(maxs[i]), mean=float(means[i]),
-                              M2=float(m2[i]), M3=float(m3[i]),
-                              M4=float(m4[i]))
-            for i in range(len(arrs))]
 
 
 def _pebay_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,7 +487,6 @@ KERNELS: dict[str, Callable[..., Any]] = {
     "topology.merge_tree": merge_tree_numpy,
     "topology.graph_merge_tree": graph_merge_tree_numpy,
     "topology.glue_batch": glue_batch_numpy,
-    "statistics.learn_blocks": learn_blocks_numpy,
     "statistics.merge_moments": merge_moments_numpy,
     "statistics.merge_packed_moments": merge_packed_moments_numpy,
     "statistics.bivariate_histogram": bivariate_histogram_numpy,

@@ -5,9 +5,9 @@ outputs under every backend — not approximately equal: merge trees,
 moment accumulators, collective folds, and DES dispatch orders are
 compared with ``==`` / ``np.array_equal``, never with tolerances. The
 suites here are parametrized over ``["reference", "numpy"]`` so the
-dispatch path itself is exercised, and the regime gates of the numpy
-backend are monkeypatched to force both its vectorized and fallback
-paths through the same assertions.
+dispatch path itself is exercised, and inputs a numpy kernel hands back
+to the reference (non-moment operators, zero-count accumulators, bad
+glue input) are covered next to the inputs it vectorizes.
 """
 
 import warnings
@@ -30,6 +30,7 @@ from repro.analysis.statistics.moments import (
     moment_merge_op,
 )
 from repro.analysis.topology.distributed import distributed_merge_tree
+from repro.analysis.topology.local_tree import BoundaryTree
 from repro.analysis.topology.merge_tree import compute_merge_tree
 from repro.analysis.topology.stream_merge import compute_merge_tree_graph
 from repro.backend import (
@@ -68,6 +69,14 @@ def both(name):
 def assert_trees_equal(a, b):
     assert a.value == b.value
     assert a.parent == b.parent
+
+
+def assert_trees_identical(a, b):
+    """Equal maps in the same insertion order, same children lists."""
+    assert_trees_equal(a, b)
+    assert list(a.value) == list(b.value)
+    assert list(a.parent) == list(b.parent)
+    assert all(a.children(n) == b.children(n) for n in a.value)
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +272,6 @@ class TestStatistics:
         rng = np.random.default_rng(seed)
         return [rng.uniform(-3, 7, m) for _ in range(n_blocks)]
 
-    @pytest.mark.parametrize("m", [16, 3000])  # below / above the gate
-    def test_learn_blocks_both_regimes(self, m):
-        blocks = self._blocks(8, 24, m)
-        assert m <= nb.LEARN_BLOCK_MAX_ELEMS or m > nb.LEARN_BLOCK_MAX_ELEMS
-        ref, fast = both("statistics.learn_blocks")
-        a = ref([b.copy() for b in blocks])
-        b_ = fast([b.copy() for b in blocks])
-        for x, y in zip(a, b_):
-            assert np.array_equal(x.pack(), y.pack())
-
-    def test_learn_blocks_ragged_falls_back(self):
-        rng = np.random.default_rng(9)
-        blocks = [rng.uniform(0, 1, m) for m in (8, 12, 8)]
-        ref, fast = both("statistics.learn_blocks")
-        for x, y in zip(ref(blocks), fast(blocks)):
-            assert np.array_equal(x.pack(), y.pack())
-
     def test_merge_moments_identical(self):
         accs = [MomentAccumulator.from_data(b)
                 for b in self._blocks(10, 31, 40)]
@@ -355,6 +347,44 @@ def _plateau_field(rng, shape):
     return rng.integers(0, 6, size=shape).astype(np.float64)
 
 
+def _smooth_field(shape):
+    """Two broad bumps: few critical points, large ascent regions."""
+    coords = np.indices(shape).astype(np.float64)
+    near = sum((c - 0.25 * s) ** 2 for c, s in zip(coords, shape))
+    far = sum((c - 0.7 * s) ** 2 for c, s in zip(coords, shape))
+    return np.exp(-near / 20.0) + 0.8 * np.exp(-far / 12.0)
+
+
+def _tree_depth(tree):
+    """Most arcs on any node's path to its root."""
+    depth = {}
+    for node in reversed(list(tree.value)):  # sweep order: parents last
+        parent = tree.parent[node]
+        depth[node] = 0 if parent is None else depth[parent] + 1
+    return max(depth.values())
+
+
+def _bt(nodes, edges=()):
+    return BoundaryTree(nodes=dict(nodes), edges=list(edges),
+                        boundary_ids=[])
+
+
+#: Bad glue inputs: (boundary trees, cross edges, the exception streaming
+#: raises first). Vertices 1 > 2 > 3 in the sweep order.
+GLUE_ERRORS = {
+    "duplicate-vertex": ([_bt({1: 3.0, 2: 2.0}, [(1, 2)]),
+                          _bt({2: 2.0, 3: 1.0}, [(2, 3)])], [], ValueError),
+    "self-edge": ([_bt({1: 3.0, 2: 2.0}, [(1, 2)]), _bt({3: 1.0})],
+                  [(2, 3), (3, 3)], ValueError),
+    "undeclared-endpoint": ([_bt({1: 3.0, 2: 2.0}, [(1, 2)]), _bt({3: 1.0})],
+                            [(2, 3), (9, 3)], KeyError),
+    # an undeclared endpoint inside a subtree comes before a cross self-edge
+    "first-offender": ([_bt({1: 3.0, 2: 2.0}, [(1, 2), (2, 7)]),
+                        _bt({3: 1.0})], [(3, 3)], KeyError),
+    "no-vertices": ([], [(1, 2)], KeyError),
+}
+
+
 class TestTopology:
     @pytest.mark.parametrize("shape", [(40,), (9, 7), (6, 5, 4),
                                        (3, 4, 3, 2)])
@@ -364,7 +394,7 @@ class TestTopology:
         ref, fast = both("topology.merge_tree")
         tree_a, arc_a = ref(field)
         tree_b, arc_b = fast(field)
-        assert_trees_equal(tree_a, tree_b)
+        assert_trees_identical(tree_a, tree_b)
         assert arc_a.dtype == arc_b.dtype
         assert np.array_equal(arc_a, arc_b)
 
@@ -375,7 +405,21 @@ class TestTopology:
         ref, fast = both("topology.merge_tree")
         tree_a, arc_a = ref(field, ids)
         tree_b, arc_b = fast(field, ids)
-        assert_trees_equal(tree_a, tree_b)
+        assert_trees_identical(tree_a, tree_b)
+        assert np.array_equal(arc_a, arc_b)
+
+    def test_merge_tree_deep_tree(self):
+        # Noise over a slope: hundreds of maxima join the main component
+        # one after another, so a vertex's arc can sit hundreds of levels
+        # below its ascent region's maximum.
+        shape = (16, 16, 16)
+        rng = np.random.default_rng(20)
+        field = 0.05 * np.indices(shape).sum(axis=0) + rng.uniform(0, 1, shape)
+        ref, fast = both("topology.merge_tree")
+        tree_a, arc_a = ref(field)
+        tree_b, arc_b = fast(field)
+        assert _tree_depth(tree_a) > 256
+        assert_trees_identical(tree_a, tree_b)
         assert np.array_equal(arc_a, arc_b)
 
     def test_graph_merge_tree_identical(self):
@@ -387,21 +431,35 @@ class TestTopology:
         edges = [(ids[int(a)], ids[int(b)])
                  for a, b in rng.integers(0, n, (200, 2)) if a != b]
         ref, fast = both("topology.graph_merge_tree")
-        assert_trees_equal(ref(dict(values), list(edges)),
-                           fast(dict(values), list(edges)))
+        assert_trees_identical(ref(dict(values), list(edges)),
+                               fast(dict(values), list(edges)))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_distributed_pipeline_identical(self, backend):
         shape = (12, 10, 8)
         rng = np.random.default_rng(19)
-        field = _plateau_field(rng, shape)
         decomp = BlockDecomposition3D(shape, (2, 2, 2))
-        with use_backend("reference"):
-            tree_ref, bts_ref = distributed_merge_tree(field, decomp)
-        with use_backend(backend):
-            tree, bts = distributed_merge_tree(field, decomp)
-        assert_trees_equal(tree_ref, tree)
-        assert len(bts_ref) == len(bts)
+        for field in (_plateau_field(rng, shape), _smooth_field(shape)):
+            with use_backend("reference"):
+                tree_ref, bts_ref = distributed_merge_tree(field, decomp)
+            with use_backend(backend):
+                tree, bts = distributed_merge_tree(field, decomp)
+            assert_trees_equal(tree_ref, tree)
+            assert len(bts_ref) == len(bts) == 8
+            for bt_ref, bt in zip(bts_ref, bts):
+                assert bt.nodes == bt_ref.nodes
+                assert bt.edges == bt_ref.edges  # list order included
+                assert bt.boundary_ids == bt_ref.boundary_ids
+
+    @pytest.mark.parametrize("case", sorted(GLUE_ERRORS))
+    def test_glue_batch_error_parity(self, case):
+        bts, cross, expected = GLUE_ERRORS[case]
+        raised = []
+        for impl in both("topology.glue_batch"):
+            with pytest.raises(expected) as info:
+                impl(bts, list(cross))
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +476,24 @@ class TestHypothesis:
         ref, fast = both("topology.merge_tree")
         tree_a, arc_a = ref(field)
         tree_b, arc_b = fast(field)
-        assert_trees_equal(tree_a, tree_b)
+        assert_trees_identical(tree_a, tree_b)
+        assert np.array_equal(arc_a, arc_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_merge_tree_grid_property(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 6), min_size=2,
+                                         max_size=3), label="shape"))
+        n = int(np.prod(shape))
+        levels = data.draw(st.lists(st.integers(0, 4), min_size=n,
+                                    max_size=n), label="levels")
+        perm = data.draw(st.permutations(range(n)), label="id order")
+        field = np.asarray(levels, dtype=np.float64).reshape(shape)
+        ids = (np.asarray(perm, dtype=np.int64) * 5 + 11).reshape(shape)
+        ref, fast = both("topology.merge_tree")
+        tree_a, arc_a = ref(field, ids)
+        tree_b, arc_b = fast(field, ids)
+        assert_trees_identical(tree_a, tree_b)
         assert np.array_equal(arc_a, arc_b)
 
     @settings(max_examples=40, deadline=None)
@@ -428,14 +503,10 @@ class TestHypothesis:
                     min_size=1, max_size=12))
     def test_moments_property(self, rows):
         blocks = [np.asarray(r, dtype=np.float64) for r in rows]
-        ref_learn, fast_learn = both("statistics.learn_blocks")
         ref_merge, fast_merge = both("statistics.merge_moments")
-        accs_a = ref_learn([b.copy() for b in blocks])
-        accs_b = fast_learn([b.copy() for b in blocks])
-        for x, y in zip(accs_a, accs_b):
-            assert np.array_equal(x.pack(), y.pack())
-        assert np.array_equal(ref_merge(accs_a).pack(),
-                              fast_merge(accs_b).pack())
+        accs = learn_blocks([b.copy() for b in blocks])
+        assert np.array_equal(ref_merge(list(accs)).pack(),
+                              fast_merge(list(accs)).pack())
 
 
 # ---------------------------------------------------------------------------
